@@ -12,6 +12,7 @@
 package main_test
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -277,6 +278,68 @@ func BenchmarkMatMulT2_256(b *testing.B) {
 	benchWorkers(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulT2Into(out, m, n)
+		}
+	})
+}
+
+// --- matmul kernels at the training workload's shapes ------------------------
+//
+// The 256³ cases above are square and cache-resident; the SAGE trainer
+// on ogbn-arxiv (batch 1000, fanouts 10/5 → ≈5000 layer-0 sources,
+// 32 → 64 → 10 features) runs tall-skinny products instead. These cases
+// reproduce its four largest shapes.
+
+func denseShape(seed int64, rows, cols int, zeros float64) *tensor.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	m := tensor.New(rows, cols)
+	for i := range m.Data {
+		if rng.Float64() >= zeros {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// BenchmarkMatMulWorkload covers X·W at layer 0 (5000×32·32×64) and
+// layer 1 (1000×64·64×10), dense and with the sparse kernel on a
+// half-zero (post-ReLU/dropout-like) input.
+func BenchmarkMatMulWorkload(b *testing.B) {
+	for _, s := range []struct{ n, k, m int }{{5000, 32, 64}, {1000, 64, 10}} {
+		x, w, out := denseShape(1, s.n, s.k, 0), denseShape(2, s.k, s.m, 0), tensor.New(s.n, s.m)
+		xs := denseShape(1, s.n, s.k, 0.5)
+		b.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(b *testing.B) {
+			benchWorkers(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tensor.MatMulInto(out, x, w)
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("%dx%dx%d/sparse", s.n, s.k, s.m), func(b *testing.B) {
+			benchWorkers(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tensor.MatMulSparseInto(out, xs, w)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkMatMulT1Workload is dW = Xᵀ·dY at layer 0: 5000×32ᵀ·5000×64.
+func BenchmarkMatMulT1Workload(b *testing.B) {
+	x, dy, out := denseShape(1, 5000, 32, 0), denseShape(2, 5000, 64, 0), tensor.New(32, 64)
+	benchWorkers(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulT1Into(out, x, dy)
+		}
+	})
+}
+
+// BenchmarkMatMulT2Workload is dX = dY·Wᵀ at layer 0: 5000×64·(32×64)ᵀ.
+func BenchmarkMatMulT2Workload(b *testing.B) {
+	dy, w, out := denseShape(1, 5000, 64, 0), denseShape(2, 32, 64, 0), tensor.New(5000, 32)
+	benchWorkers(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulT2Into(out, dy, w)
 		}
 	})
 }

@@ -48,7 +48,12 @@ type Config struct {
 // convLayer is one graph convolution with cached state for backward.
 type convLayer interface {
 	Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense
-	Backward(dy *tensor.Dense) *tensor.Dense
+	// Backward accumulates the parameter gradients for upstream gradient
+	// dy and, when needInput is set, returns the gradient with respect
+	// to the layer input (nil otherwise). The first layer's input is the
+	// raw feature matrix, whose gradient nothing reads, so Model.Backward
+	// asks it for parameter gradients only.
+	Backward(dy *tensor.Dense, needInput bool) *tensor.Dense
 	Params() []*nn.Param
 	setWorkspace(ws *tensor.Workspace)
 	// FLOPs estimates the multiply-add count for a block with the given
@@ -207,18 +212,21 @@ func (m *Model) Forward(mb *sample.MiniBatch, feats *tensor.Dense, train bool) (
 }
 
 // Backward propagates dLogits through the network, accumulating parameter
-// gradients. It returns the gradient with respect to the input features
-// (rarely needed; callers may ignore it).
-func (m *Model) Backward(dLogits *tensor.Dense) *tensor.Dense {
+// gradients. The gradient stops at layer 0's parameters: the gradient
+// with respect to the input features is never computed, which skips
+// layer 0's dY·Wᵀ products, its aggregation scatter and its input
+// dropout.
+func (m *Model) Backward(dLogits *tensor.Dense) {
 	d := dLogits
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		if l < len(m.acts) {
 			d = m.acts[l].Backward(d)
 		}
-		d = m.layers[l].Backward(d)
-		d = m.dropouts[l].Backward(d)
+		d = m.layers[l].Backward(d, l > 0)
+		if l > 0 {
+			d = m.dropouts[l].Backward(d)
+		}
 	}
-	return d
 }
 
 // FLOPs estimates the batch's multiply-add count across all layers — the
@@ -362,7 +370,11 @@ func (l *gcnLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 	return l.lin.Forward(agg)
 }
 
-func (l *gcnLayer) Backward(dy *tensor.Dense) *tensor.Dense {
+func (l *gcnLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
+	if !needInput {
+		l.lin.BackwardParams(dy)
+		return nil
+	}
 	dAgg := l.lin.Backward(dy)
 	return meanAggregateBackward(l.ws, l.blk, dAgg, l.div, l.srcRows, true)
 }
@@ -417,7 +429,12 @@ func (l *sageLayer) Forward(blk *sample.Block, h *tensor.Dense) *tensor.Dense {
 	return ySelf
 }
 
-func (l *sageLayer) Backward(dy *tensor.Dense) *tensor.Dense {
+func (l *sageLayer) Backward(dy *tensor.Dense, needInput bool) *tensor.Dense {
+	if !needInput {
+		l.nb.BackwardParams(dy)
+		l.self.BackwardParams(dy)
+		return nil
+	}
 	dAgg := l.nb.Backward(dy)
 	dh := meanAggregateBackward(l.ws, l.blk, dAgg, l.div, l.srcRows, false)
 	dDst := l.self.Backward(dy)

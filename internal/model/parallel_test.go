@@ -55,7 +55,8 @@ func bigBatch(rng *rand.Rand) *sample.MiniBatch {
 }
 
 // runOnce builds a fresh model, runs forward + backward on a large
-// batch, and returns logits, input grads, and a parameter-grad snapshot.
+// batch, and returns logits, the input gradient layer 1 hands back
+// toward layer 0, and a parameter-grad snapshot.
 func runOnce(t *testing.T, kind Kind, heads int, ws *tensor.Workspace) (*tensor.Dense, *tensor.Dense, []*tensor.Dense) {
 	t.Helper()
 	m, err := New(Config{
@@ -76,12 +77,17 @@ func runOnce(t *testing.T, kind Kind, heads int, ws *tensor.Workspace) (*tensor.
 		t.Fatal(err)
 	}
 	dLogits := randFeats(rand.New(rand.NewSource(4)), logits.Rows, logits.Cols)
-	dIn := m.Backward(dLogits)
+	m.Backward(dLogits)
 	var grads []*tensor.Dense
 	for _, p := range m.Params() {
 		grads = append(grads, p.Grad.Clone())
 	}
-	return logits.Clone(), dIn.Clone(), grads
+	// Model.Backward stops at layer 0's parameters, so drive the output
+	// layer directly for its input gradient (it re-accumulates parameter
+	// gradients, which were snapshotted above). This keeps the dY·Wᵀ
+	// kernel and the aggregation scatter under the equivalence check.
+	dH1 := m.layers[1].Backward(dLogits, true)
+	return logits.Clone(), dH1.Clone(), grads
 }
 
 // TestParallelModelBitwiseEqualSerial demands that a full forward +
@@ -92,18 +98,18 @@ func TestParallelModelBitwiseEqualSerial(t *testing.T) {
 	t.Cleanup(func() { tensor.SetParallelism(prev) })
 	for _, kind := range []Kind{GCN, SAGE, GAT} {
 		tensor.SetParallelism(1)
-		wantLogits, wantDIn, wantGrads := runOnce(t, kind, 2, nil)
+		wantLogits, wantDH1, wantGrads := runOnce(t, kind, 2, nil)
 
-		check := func(label string, logits, dIn *tensor.Dense, grads []*tensor.Dense) {
+		check := func(label string, logits, dH1 *tensor.Dense, grads []*tensor.Dense) {
 			t.Helper()
 			for i, w := range wantLogits.Data {
 				if logits.Data[i] != w {
 					t.Fatalf("%s/%s: logits[%d] = %v, want %v (bitwise)", kind, label, i, logits.Data[i], w)
 				}
 			}
-			for i, w := range wantDIn.Data {
-				if dIn.Data[i] != w {
-					t.Fatalf("%s/%s: dIn[%d] = %v, want %v (bitwise)", kind, label, i, dIn.Data[i], w)
+			for i, w := range wantDH1.Data {
+				if dH1.Data[i] != w {
+					t.Fatalf("%s/%s: dH1[%d] = %v, want %v (bitwise)", kind, label, i, dH1.Data[i], w)
 				}
 			}
 			for p := range wantGrads {
@@ -116,11 +122,11 @@ func TestParallelModelBitwiseEqualSerial(t *testing.T) {
 		}
 
 		tensor.SetParallelism(4)
-		logits, dIn, grads := runOnce(t, kind, 2, nil)
-		check("parallel", logits, dIn, grads)
+		logits, dH1, grads := runOnce(t, kind, 2, nil)
+		check("parallel", logits, dH1, grads)
 
-		logits, dIn, grads = runOnce(t, kind, 2, tensor.NewWorkspace())
-		check("parallel+ws", logits, dIn, grads)
+		logits, dH1, grads = runOnce(t, kind, 2, tensor.NewWorkspace())
+		check("parallel+ws", logits, dH1, grads)
 	}
 }
 

@@ -87,6 +87,17 @@ func (l *Linear) Forward(x *tensor.Dense) *tensor.Dense {
 
 // Backward accumulates dW and db and returns dX.
 func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
+	l.BackwardParams(dy)
+	dx := l.WS.Get(dy.Rows, l.W.Value.Rows)
+	tensor.MatMulT2Into(dx, dy, l.W.Value)
+	return dx
+}
+
+// BackwardParams accumulates dW and db without computing dX, for a layer
+// whose input gradient nothing reads (one fed raw features, or a
+// standalone probe): it saves the dY·Wᵀ product, the backward pass's
+// largest when the input is wide.
+func (l *Linear) BackwardParams(dy *tensor.Dense) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -104,9 +115,6 @@ func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
 	for j, s := range cs {
 		l.B.Grad.Data[j] += s
 	}
-	dx := l.WS.Get(dy.Rows, l.W.Value.Rows)
-	tensor.MatMulT2Into(dx, dy, l.W.Value)
-	return dx
 }
 
 // Params returns the layer's trainable parameters.

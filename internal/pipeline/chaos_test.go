@@ -10,12 +10,24 @@ import (
 	"time"
 
 	"gnnavigator/internal/faultinject"
+	"gnnavigator/internal/tensor"
 )
+
+// goroutineBaseline warms the tensor worker pool, then returns the
+// goroutine count. Pool workers start lazily on the first kernel that
+// shards and stay resident by design, so a baseline taken on a cold pool
+// would count the run's first dispatch as a leak on any multi-core host.
+// The warm-up dispatch spans every worker the current parallelism can
+// use.
+func goroutineBaseline() int {
+	tensor.ParallelRange(tensor.Parallelism()<<16, func(lo, hi int) {})
+	return runtime.NumGoroutine()
+}
 
 // waitForGoroutines polls until the goroutine count returns to (near) the
 // baseline. Tensor-pool workers are resident by design, so callers must
-// capture the baseline after warming the pool; only growth beyond the
-// pre-call count is a pipeline leak.
+// capture the baseline after warming the pool (goroutineBaseline); only
+// growth beyond the pre-call count is a pipeline leak.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -40,7 +52,7 @@ func TestChaosConsumerErrorNoGoroutineLeak(t *testing.T) {
 			cfg.Prefetch = 4
 			cfg.CoupledSampler = coupled
 			boom := errors.New("consumer boom")
-			before := runtime.NumGoroutine()
+			before := goroutineBaseline()
 			n := 0
 			done := false
 			err := Run(cfg, func(b *Batch) error {
@@ -80,7 +92,7 @@ func TestChaosInjectedStageErrors(t *testing.T) {
 					cfg.Prefetch = prefetch
 					cfg.CoupledSampler = coupled
 					faultinject.Arm(point, faultinject.Spec{Kind: faultinject.Error, After: 3, Count: 1})
-					before := runtime.NumGoroutine()
+					before := goroutineBaseline()
 					n := 0
 					err := Run(cfg, func(b *Batch) error { n++; return nil }, nil)
 					if !errors.Is(err, faultinject.ErrInjected) {
@@ -107,7 +119,7 @@ func TestChaosStagePanicContained(t *testing.T) {
 			cfg.Epochs = 2
 			cfg.Prefetch = prefetch
 			faultinject.Arm(faultinject.PipelineSample, faultinject.Spec{Kind: faultinject.Panic, After: 2, Count: 1})
-			before := runtime.NumGoroutine()
+			before := goroutineBaseline()
 			err := Run(cfg, func(b *Batch) error { return nil }, nil)
 			if err == nil || !strings.Contains(err.Error(), "injected panic") {
 				t.Fatalf("Run returned %v, want contained injected panic", err)
@@ -123,7 +135,7 @@ func TestChaosStagePanicContained(t *testing.T) {
 func TestChaosConsumerPanicContained(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Prefetch = 3
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 	n := 0
 	err := Run(cfg, func(b *Batch) error {
 		n++
@@ -151,7 +163,7 @@ func TestChaosContextCancel(t *testing.T) {
 				cfg.Prefetch = prefetch
 				cfg.CoupledSampler = coupled
 				cfg.Ctx = ctx
-				before := runtime.NumGoroutine()
+				before := goroutineBaseline()
 				n := 0
 				err := Run(cfg, func(b *Batch) error {
 					n++

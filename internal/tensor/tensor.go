@@ -99,71 +99,70 @@ func MatMul(a, b *Dense) *Dense {
 	return out
 }
 
+// The matmul kernels below are blocked for fewer loads and stores but
+// keep the textbook per-element arithmetic exactly: every output element
+// adds its terms one at a time in ascending k, starting from +0, and the
+// sparse variants skip exactly the terms whose a-operand is ±0. The
+// blocking only shares loads across *outputs* (independent accumulators
+// go across output elements, never across k), so each kernel is bitwise
+// identical to the naive loop at every parallelism level; the frozen
+// loops in kernel_oracle_test.go pin that.
+
 // MatMulInto computes out = a·b, reusing out's storage, sharded over
 // output rows.
 //
-// The inner loop is branch-free: the seed implementation skipped
-// aik == 0 terms, but on dense inputs the never-firing compare costs
-// ~6% (BenchmarkMatMulSkipDense 9.56ms vs BenchmarkMatMul256 9.01ms,
-// 256³ serial) for zero benefit. The skip only pays on provably sparse
-// inputs — post-ReLU/dropout activations, where ~half the entries are
-// exact zeros and it buys ~1.8x (BenchmarkMatMulSkipSparse 5.12ms) —
-// so it lives in MatMulSparseInto and the nn layers that own such
-// inputs opt in explicitly.
+// The loop order is i-k-j with k unrolled by 4: each output row takes
+// one pass per four rows of b, o[j] = o[j] + x0·b0[j] + … + x3·b3[j],
+// which Go evaluates left to right — the same four adds, in the same
+// order, as four single-term passes, for a quarter of the row loads and
+// stores. Every term is kept (the dense kernel never branches on a):
+// on dense inputs a never-firing zero test is pure cost. Layers whose
+// input provably carries exact zeros use MatMulSparseInto instead.
 func MatMulInto(out, a, b *Dense) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %dx%d = %dx%d · %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		// i-k-j loop order streams b's rows, which is cache-friendly for
-		// row-major storage.
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Cols; k++ {
-				aik := arow[k]
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aik * brow[j]
-				}
-			}
-		}
-	})
+	runRows(matMulRows, a.Rows, out, a, b, false)
 }
 
-// MatMulSparseInto is MatMulInto with the zero-skip kept: rows of a with
-// exact-zero entries (post-ReLU or post-dropout activations) skip the
-// whole k-th row of b. On dense inputs prefer MatMulInto. Skipped terms
-// contribute exactly 0 for finite inputs, so results match MatMulInto
-// bit-for-bit away from ±Inf/NaN.
+// MatMulSparseInto is MatMulInto with the zero-skip kept: a term whose
+// a-entry is an exact zero (post-ReLU or post-dropout activations) skips
+// its row of b. The kept terms are fused four per pass among
+// themselves, still in ascending k, so the skip costs no fusion.
+// Skipped terms contribute exactly 0 for finite inputs, so results match
+// MatMulInto bit-for-bit away from ±Inf/NaN. On dense inputs prefer
+// MatMulInto.
 func MatMulSparseInto(out, a, b *Dense) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulSparseInto shape mismatch %dx%d = %dx%d · %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Cols; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
+	runRows(matMulRows, a.Rows, out, a, b, true)
+}
+
+// matMulRows is the shared a·b body over output rows [lo, hi): per row
+// of a, it gathers the kept terms (all of them, or the nonzero ones when
+// sparse) termChunk k at a time and applies them with accumTerms.
+func matMulRows(out, a, b *Dense, sparse bool, lo, hi int) {
+	kn, m := a.Cols, b.Cols
+	var xs [termChunk]float64
+	var ks [termChunk]int
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*kn : (i+1)*kn]
+		orow := out.Data[i*m : (i+1)*m]
+		clear(orow)
+		for k0 := 0; k0 < kn; k0 += termChunk {
+			nt := 0
+			for k := k0; k < min(k0+termChunk, kn); k++ {
+				if x := arow[k]; !sparse || x != 0 {
+					xs[nt], ks[nt] = x, k
+					nt++
 				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aik * brow[j]
-				}
 			}
+			accumTerms(orow, xs[:nt], ks[:nt], b.Data)
 		}
-	})
+	}
 }
 
 // MatMulT1 returns aᵀ·b (a: k×n, b: k×m → n×m). Used for dW = Xᵀ·dY.
@@ -177,57 +176,89 @@ func MatMulT1(a, b *Dense) *Dense {
 }
 
 // MatMulT1Into computes out = aᵀ·b, sharded over output rows (columns of
-// a); each output row accumulates over k in ascending order, matching the
-// serial result exactly. Branch-free like MatMulInto: a is the layer's
-// cached forward input, which for aggregate-fed layers (GCN, the SAGE
-// neighbor path) and raw features is dense. Layers whose input is
-// provably sparse use MatMulT1SparseInto (see nn.Linear.SparseInput).
+// a). Within a shard k is the outer loop, in chunks of termChunk rows of
+// b that stay cache-resident while every output row of the shard applies
+// its terms from them, four per pass as in MatMulInto — instead of b
+// being streamed once per output row. Each output element still
+// accumulates in ascending k.
+// Branch-free like MatMulInto: a is the layer's cached forward input,
+// which for aggregate-fed layers (GCN, the SAGE neighbor path) and raw
+// features is dense. Layers whose input is provably sparse use
+// MatMulT1SparseInto (see nn.Linear.SparseInput).
 func MatMulT1Into(out, a, b *Dense) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT1 shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Cols, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Rows; k++ {
-				aki := a.Data[k*a.Cols+i]
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aki * brow[j]
-				}
-			}
-		}
-	})
+	runRows(matMulT1Rows, a.Cols, out, a, b, false)
 }
 
-// MatMulT1SparseInto is MatMulT1Into with the zero-skip kept: each
-// exact-zero entry of a (post-ReLU/dropout activations) skips a whole
-// m-length inner loop. On dense inputs prefer MatMulT1Into.
+// MatMulT1SparseInto is MatMulT1Into with the zero-skip kept, under the
+// same rule as MatMulSparseInto: each exact-zero entry of a
+// (post-ReLU/dropout activations) drops its term, and the kept terms
+// are fused among themselves. On dense inputs prefer MatMulT1Into.
 func MatMulT1SparseInto(out, a, b *Dense) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT1SparseInto shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Cols, rowGrain, func(lo, hi int) {
+	runRows(matMulT1Rows, a.Cols, out, a, b, true)
+}
+
+// matMulT1Rows is the shared aᵀ·b body over output rows [lo, hi). The k
+// loop is outer, in chunks of termChunk rows of b, which stay cache-hot
+// while every output row of the shard gathers its kept terms from the
+// matching column of a and applies them with accumTerms.
+func matMulT1Rows(out, a, b *Dense, sparse bool, lo, hi int) {
+	n, m, kn := a.Cols, b.Cols, a.Rows
+	clear(out.Data[lo*m : hi*m])
+	var xs [termChunk]float64
+	var ks [termChunk]int
+	for k0 := 0; k0 < kn; k0 += termChunk {
+		k1 := min(k0+termChunk, kn)
 		for i := lo; i < hi; i++ {
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
-			}
-			for k := 0; k < a.Rows; k++ {
-				aki := a.Data[k*a.Cols+i]
-				if aki == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aki * brow[j]
+			nt := 0
+			for k := k0; k < k1; k++ {
+				if x := a.Data[k*n+i]; !sparse || x != 0 {
+					xs[nt], ks[nt] = x, k
+					nt++
 				}
 			}
+			accumTerms(out.Data[i*m:(i+1)*m], xs[:nt], ks[:nt], b.Data)
 		}
-	})
+	}
+}
+
+// termChunk is how many k terms the a·b and aᵀ·b bodies gather per call
+// to accumTerms: small enough for stack scratch, large enough that the
+// call and gather overhead is amortized over many fused passes.
+const termChunk = 32
+
+// accumTerms adds Σ_q xs[q]·b_{ks[q]} to o, where b_k is row k of the
+// row-major matrix bd with len(o) columns. Terms are applied in q order,
+// four per pass: o[j] = o[j] + x0·b0[j] + x1·b1[j] + x2·b2[j] + x3·b3[j]
+// evaluates left to right, so every element sees the same adds in the
+// same order as one term per pass, for a quarter of the loads and stores
+// of o. Because a sparse caller passes only its kept terms, the skip
+// costs no fusion: the nonzero terms are fused with each other.
+func accumTerms(o, xs []float64, ks []int, bd []float64) {
+	m := len(o)
+	ks = ks[:len(xs)]
+	q := 0
+	for ; q+4 <= len(xs); q += 4 {
+		x0, x1, x2, x3 := xs[q], xs[q+1], xs[q+2], xs[q+3]
+		b0 := bd[ks[q]*m:][:m]
+		b1 := bd[ks[q+1]*m:][:m]
+		b2 := bd[ks[q+2]*m:][:m]
+		b3 := bd[ks[q+3]*m:][:m]
+		for j := range o {
+			o[j] = o[j] + x0*b0[j] + x1*b1[j] + x2*b2[j] + x3*b3[j]
+		}
+	}
+	for ; q < len(xs); q++ {
+		x, bk := xs[q], bd[ks[q]*m:][:m]
+		for j := range o {
+			o[j] += x * bk[j]
+		}
+	}
 }
 
 // MatMulT2 returns a·bᵀ (a: n×k, b: m×k → n×m). Used for dX = dY·Wᵀ.
@@ -240,25 +271,84 @@ func MatMulT2(a, b *Dense) *Dense {
 	return out
 }
 
-// MatMulT2Into computes out = a·bᵀ, sharded over output rows.
+// MatMulT2Into computes out = a·bᵀ, sharded over output rows. Every
+// output element is a k-ordered dot product; the kernel computes them in
+// 2-row × 4-column register tiles, eight independent accumulators that
+// share each loaded a and b value, so the FP-add chains overlap without
+// reordering any one of them.
 func MatMulT2Into(out, a, b *Dense) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT2 shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	parallelFor(a.Rows, rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var s float64
-				for k, av := range arow {
-					s += av * brow[k]
-				}
-				orow[j] = s
+	runRows(matMulT2Rows, a.Rows, out, a, b, false)
+}
+
+// matMulT2Rows is the a·bᵀ body over output rows [lo, hi). There is no
+// sparse variant; the flag only fills runRows's kernel signature.
+func matMulT2Rows(out, a, b *Dense, _ bool, lo, hi int) {
+	kn, m := a.Cols, b.Rows
+	ad, bd := a.Data, b.Data
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0 := ad[i*kn : (i+1)*kn]
+		a1 := ad[(i+1)*kn : (i+2)*kn][:len(a0)]
+		o0, o1 := out.Data[i*m:(i+1)*m], out.Data[(i+1)*m:(i+2)*m]
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			b0 := bd[j*kn : (j+1)*kn][:len(a0)]
+			b1 := bd[(j+1)*kn : (j+2)*kn][:len(a0)]
+			b2 := bd[(j+2)*kn : (j+3)*kn][:len(a0)]
+			b3 := bd[(j+3)*kn : (j+4)*kn][:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				y0, y1, y2, y3 := b0[k], b1[k], b2[k], b3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
 			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
 		}
-	})
+		for ; j < m; j++ {
+			bj := bd[j*kn : (j+1)*kn][:len(a0)]
+			var s0, s1 float64
+			for k, y := range bj {
+				s0 += a0[k] * y
+				s1 += a1[k] * y
+			}
+			o0[j], o1[j] = s0, s1
+		}
+	}
+	if i < hi {
+		arow, orow := ad[i*kn:(i+1)*kn], out.Data[i*m:(i+1)*m]
+		for j := range orow {
+			bj := bd[j*kn : (j+1)*kn][:len(arow)]
+			var s float64
+			for k, x := range arow {
+				s += x * bj[k]
+			}
+			orow[j] = s
+		}
+	}
+}
+
+// runRows runs a matmul body over n output rows: inline when the pool
+// would not shard (parallelism 1 or fewer than two grains of rows),
+// otherwise via parallelFor. Taking the inline branch before the shard
+// closure is built keeps the serial path — and every small serving
+// batch — allocation-free.
+func runRows(kern func(out, a, b *Dense, sparse bool, lo, hi int), n int, out, a, b *Dense, sparse bool) {
+	if Parallelism() <= 1 || n < 2*rowGrain {
+		kern(out, a, b, sparse, 0, n)
+		return
+	}
+	parallelFor(n, rowGrain, func(lo, hi int) { kern(out, a, b, sparse, lo, hi) })
 }
 
 // AddBias adds row vector bias (1×Cols) to every row of m, in place.
@@ -315,35 +405,31 @@ func (m *Dense) ColSums() []float64 {
 }
 
 // ColSumsInto accumulates per-column sums into dst (dst is overwritten).
-// Both paths accumulate each column top-to-bottom, so they are bitwise
-// equivalent: the serial path streams rows (cache-optimal, the seed's
-// access pattern), while the parallel path shards over column ranges —
-// strided reads, but each worker owns a disjoint slice of dst.
+// Each column is summed top to bottom, so the result is independent of
+// the parallelism level. The parallel path shards over column ranges and
+// each shard still streams whole rows (its slice of every row), so the
+// reads stay sequential and each worker owns a disjoint slice of dst.
 func (m *Dense) ColSumsInto(dst []float64) {
 	if len(dst) != m.Cols {
 		panic("tensor: ColSumsInto length mismatch")
 	}
 	if Parallelism() <= 1 || m.Cols < 2*rowGrain {
-		for j := range dst {
-			dst[j] = 0
-		}
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for j, v := range row {
-				dst[j] += v
-			}
-		}
+		m.colSums(dst, 0, m.Cols)
 		return
 	}
-	parallelFor(m.Cols, rowGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float64
-			for i := 0; i < m.Rows; i++ {
-				s += m.Data[i*m.Cols+j]
-			}
-			dst[j] = s
+	parallelFor(m.Cols, rowGrain, func(lo, hi int) { m.colSums(dst, lo, hi) })
+}
+
+// colSums writes the sums of columns [lo, hi) into dst[lo:hi].
+func (m *Dense) colSums(dst []float64, lo, hi int) {
+	d := dst[lo:hi]
+	clear(d)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols+lo : i*m.Cols+hi][:len(d)]
+		for j, v := range row {
+			d[j] += v
 		}
-	})
+	}
 }
 
 // GatherRows returns the matrix whose row i is m.Row(idx[i]).
